@@ -18,7 +18,6 @@ The module also hosts the two bookkeeping structures built on the ACG:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -31,12 +30,24 @@ UNREACHABLE = -1
 
 
 class AnnotationsConnectivityGraph:
-    """Incremental co-annotation graph over tuples."""
+    """Incremental co-annotation graph over tuples.
+
+    Nodes are interned: a tuple gets a dense int id on its first
+    attachment (``_id_of`` / ``_ref_of``), and the adjacency, the
+    per-tuple annotation sets and the per-annotation tuple sets all hold
+    ids.  Traversals therefore hash plain ints instead of
+    :class:`TupleRef` dataclasses; the public methods translate at the
+    boundary.  Ids are never reused: a tuple whose last annotation is
+    removed keeps its id with empty sets and reads as absent.
+    """
 
     def __init__(self) -> None:
-        self._annotations_of: Dict[TupleRef, Set[int]] = {}
-        self._tuples_of: Dict[int, Set[TupleRef]] = {}
-        self._adjacency: Dict[TupleRef, Set[TupleRef]] = {}
+        self._id_of: Dict[TupleRef, int] = {}
+        self._ref_of: List[TupleRef] = []
+        self._adjacency: List[Set[int]] = []
+        self._annotations_of: List[Set[int]] = []
+        self._tuples_of: Dict[int, Set[int]] = {}
+        self._node_count = 0
         self._edge_count = 0
 
     # ------------------------------------------------------------------
@@ -61,17 +72,43 @@ class AnnotationsConnectivityGraph:
             graph.add_attachment(annotation_id, ref)
         return graph
 
+    def _intern(self, ref: TupleRef) -> int:
+        node = self._id_of.get(ref)
+        if node is None:
+            node = len(self._ref_of)
+            self._id_of[ref] = node
+            self._ref_of.append(ref)
+            self._adjacency.append(set())
+            self._annotations_of.append(set())
+        return node
+
+    def _live_id(self, ref: TupleRef) -> Optional[int]:
+        """The id of ``ref`` while it carries an annotation, else None."""
+        node = self._id_of.get(ref)
+        if node is None or not self._annotations_of[node]:
+            return None
+        return node
+
     def add_attachment(self, annotation_id: int, ref: TupleRef) -> int:
         """Record one attachment; returns the number of *new* ACG edges."""
+        node = self._intern(ref)
         siblings = self._tuples_of.setdefault(annotation_id, set())
-        if ref in siblings:
+        if node in siblings:
             return 0
-        self._annotations_of.setdefault(ref, set()).add(annotation_id)
+        annotations = self._annotations_of[node]
+        if not annotations:
+            self._node_count += 1
+        annotations.add(annotation_id)
+        adjacency = self._adjacency
+        neighbors = adjacency[node]
         new_edges = 0
         for sibling in siblings:
-            if self._add_edge(ref, sibling):
+            if sibling not in neighbors:
+                neighbors.add(sibling)
+                adjacency[sibling].add(node)
                 new_edges += 1
-        siblings.add(ref)
+        siblings.add(node)
+        self._edge_count += new_edges
         return new_edges
 
     def remove_annotation(self, annotation_id: int) -> int:
@@ -82,39 +119,25 @@ class AnnotationsConnectivityGraph:
         in-memory graph after the persistent Stage 0 writes roll back.
         An edge survives only while the two tuples still share at least
         one *other* annotation (the live-set semantics of :meth:`weight`).
+        The tuples keep their ids, with empty sets once nothing is left.
         """
-        refs = self._tuples_of.pop(annotation_id, set())
-        for ref in refs:
-            annotations = self._annotations_of.get(ref)
-            if annotations is not None:
-                annotations.discard(annotation_id)
+        nodes = self._tuples_of.pop(annotation_id, set())
+        annotations_of = self._annotations_of
+        for node in nodes:
+            annotations_of[node].discard(annotation_id)
+            if not annotations_of[node]:
+                self._node_count -= 1
+        adjacency = self._adjacency
         removed = 0
-        for ref in refs:
-            for neighbor in list(self._adjacency.get(ref, ())):
-                if self.weight(ref, neighbor) == 0.0:
-                    self._adjacency[ref].discard(neighbor)
-                    self._adjacency.get(neighbor, set()).discard(ref)
-                    if not self._adjacency.get(neighbor):
-                        self._adjacency.pop(neighbor, None)
-                    self._edge_count -= 1
+        for node in nodes:
+            neighbors = adjacency[node]
+            for neighbor in list(neighbors):
+                if annotations_of[node].isdisjoint(annotations_of[neighbor]):
+                    neighbors.discard(neighbor)
+                    adjacency[neighbor].discard(node)
                     removed += 1
-        for ref in refs:
-            if not self._annotations_of.get(ref):
-                self._annotations_of.pop(ref, None)
-            if not self._adjacency.get(ref):
-                self._adjacency.pop(ref, None)
+        self._edge_count -= removed
         return removed
-
-    def _add_edge(self, a: TupleRef, b: TupleRef) -> bool:
-        if a == b:
-            return False
-        neighbors = self._adjacency.setdefault(a, set())
-        if b in neighbors:
-            return False
-        neighbors.add(b)
-        self._adjacency.setdefault(b, set()).add(a)
-        self._edge_count += 1
-        return True
 
     # ------------------------------------------------------------------
     # Topology
@@ -122,30 +145,42 @@ class AnnotationsConnectivityGraph:
 
     @property
     def node_count(self) -> int:
-        return len(self._annotations_of)
+        return self._node_count
 
     @property
     def edge_count(self) -> int:
         return self._edge_count
 
     def contains(self, ref: TupleRef) -> bool:
-        return ref in self._annotations_of
+        return self._live_id(ref) is not None
 
     def neighbors(self, ref: TupleRef) -> FrozenSet[TupleRef]:
-        return frozenset(self._adjacency.get(ref, frozenset()))
+        node = self._id_of.get(ref)
+        if node is None:
+            return frozenset()
+        ref_of = self._ref_of
+        return frozenset(ref_of[n] for n in self._adjacency[node])
 
     def annotations_of(self, ref: TupleRef) -> FrozenSet[int]:
-        return frozenset(self._annotations_of.get(ref, frozenset()))
+        node = self._id_of.get(ref)
+        if node is None:
+            return frozenset()
+        return frozenset(self._annotations_of[node])
 
     def weight(self, a: TupleRef, b: TupleRef) -> float:
         """Edge weight: |common annotations| / |total annotations on both|.
 
         0.0 when the tuples share no annotation (no edge).
         """
-        first = self._annotations_of.get(a)
-        second = self._annotations_of.get(b)
-        if not first or not second:
+        first = self._id_of.get(a)
+        second = self._id_of.get(b)
+        if first is None or second is None:
             return 0.0
+        return self._weight(first, second)
+
+    def _weight(self, a: int, b: int) -> float:
+        first = self._annotations_of[a]
+        second = self._annotations_of[b]
         common = len(first & second)
         if common == 0:
             return 0.0
@@ -159,21 +194,24 @@ class AnnotationsConnectivityGraph:
         self, seeds: Iterable[TupleRef], k: int, include_seeds: bool = True
     ) -> FrozenSet[TupleRef]:
         """All tuples within ``k`` hops of any seed (BFS, unweighted)."""
-        seeds = [s for s in seeds if s in self._annotations_of]
-        visited: Dict[TupleRef, int] = {s: 0 for s in seeds}
-        queue = deque(seeds)
-        while queue:
-            current = queue.popleft()
-            depth = visited[current]
-            if depth >= k:
-                continue
-            for neighbor in self._adjacency.get(current, ()):
-                if neighbor not in visited:
-                    visited[neighbor] = depth + 1
-                    queue.append(neighbor)
-        if include_seeds:
-            return frozenset(visited)
-        return frozenset(v for v, d in visited.items() if d > 0)
+        seed_ids = {n for n in map(self._live_id, seeds) if n is not None}
+        adjacency = self._adjacency
+        visited = set(seed_ids)
+        frontier = list(seed_ids)
+        for _ in range(k):
+            following: List[int] = []
+            for node in frontier:
+                for neighbor in adjacency[node]:
+                    if neighbor not in visited:
+                        visited.add(neighbor)
+                        following.append(neighbor)
+            if not following:
+                break
+            frontier = following
+        if not include_seeds:
+            visited -= seed_ids
+        ref_of = self._ref_of
+        return frozenset(ref_of[n] for n in visited)
 
     def best_path_weight(self, source: TupleRef, target: TupleRef, max_hops: int) -> float:
         """Maximum edge-weight *product* over paths of at most ``max_hops``.
@@ -186,14 +224,17 @@ class AnnotationsConnectivityGraph:
         """
         if source == target:
             return 1.0
-        if source not in self._annotations_of or target not in self._annotations_of:
+        start = self._live_id(source)
+        goal = self._live_id(target)
+        if start is None or goal is None:
             return 0.0
-        best: Dict[TupleRef, float] = {source: 1.0}
+        adjacency = self._adjacency
+        best: Dict[int, float] = {start: 1.0}
         for _ in range(max(0, max_hops)):
-            frontier: Dict[TupleRef, float] = {}
+            frontier: Dict[int, float] = {}
             for node, product in best.items():
-                for neighbor in self._adjacency.get(node, ()):
-                    candidate = product * self.weight(node, neighbor)
+                for neighbor in adjacency[node]:
+                    candidate = product * self._weight(node, neighbor)
                     if candidate > best.get(neighbor, 0.0) and candidate > frontier.get(
                         neighbor, 0.0
                     ):
@@ -203,32 +244,78 @@ class AnnotationsConnectivityGraph:
             for node, product in frontier.items():
                 if product > best.get(node, 0.0):
                     best[node] = product
-        return best.get(target, 0.0)
+        return best.get(goal, 0.0)
 
     def shortest_hops(self, ref: TupleRef, seeds: Iterable[TupleRef]) -> int:
         """Shortest unweighted hop count from ``ref`` to any seed.
 
         Returns 0 when ``ref`` is itself a seed, :data:`UNREACHABLE` when
         no path exists (or ``ref`` is not in the graph).
+
+        Level-synchronous bidirectional BFS: one side grows from ``ref``,
+        the other from all seeds at once, and each step expands the
+        smaller frontier by one full level.  Before the first contact the
+        two balls are disjoint, so the distance exceeds the sum of their
+        radii; the level that makes contact therefore meets the other
+        ball only at its rim and every meeting gives the exact distance
+        the one-sided BFS finds.  An exhausted frontier means the two
+        sides lie in different components.
         """
-        seed_set = {s for s in seeds if s in self._annotations_of}
-        if not seed_set:
+        seed_ids = {n for n in map(self._live_id, seeds) if n is not None}
+        if not seed_ids:
             return UNREACHABLE
-        if ref in seed_set:
+        source = self._live_id(ref)
+        if source is None:
+            return UNREACHABLE
+        if source in seed_ids:
             return 0
-        if ref not in self._annotations_of:
-            return UNREACHABLE
-        visited = {ref}
-        queue = deque([(ref, 0)])
-        while queue:
-            current, depth = queue.popleft()
-            for neighbor in self._adjacency.get(current, ()):
-                if neighbor in seed_set:
-                    return depth + 1
-                if neighbor not in visited:
-                    visited.add(neighbor)
-                    queue.append((neighbor, depth + 1))
+        adjacency = self._adjacency
+        near: Dict[int, int] = {source: 0}
+        far: Dict[int, int] = dict.fromkeys(seed_ids, 0)
+        near_frontier = [source]
+        far_frontier = list(seed_ids)
+        near_depth = far_depth = 0
+        while near_frontier and far_frontier:
+            if len(near_frontier) <= len(far_frontier):
+                near_depth += 1
+                near_frontier, hops = _expand_level(
+                    adjacency, near_frontier, near_depth, near, far
+                )
+            else:
+                far_depth += 1
+                far_frontier, hops = _expand_level(
+                    adjacency, far_frontier, far_depth, far, near
+                )
+            if hops != UNREACHABLE:
+                return hops
         return UNREACHABLE
+
+
+def _expand_level(
+    adjacency: Sequence[Set[int]],
+    frontier: List[int],
+    depth: int,
+    seen: Dict[int, int],
+    other: Dict[int, int],
+) -> Tuple[List[int], int]:
+    """Grow one BFS side by a level, to nodes at ``depth``.
+
+    Returns the new frontier and ``min(depth + other[v])`` over every
+    neighbor ``v`` the level finds on the other side, or
+    :data:`UNREACHABLE` when it touches none.
+    """
+    following: List[int] = []
+    hops = UNREACHABLE
+    for node in frontier:
+        for neighbor in adjacency[node]:
+            if neighbor in other:
+                meeting = depth + other[neighbor]
+                if hops == UNREACHABLE or meeting < hops:
+                    hops = meeting
+            elif neighbor not in seen:
+                seen[neighbor] = depth
+                following.append(neighbor)
+    return following, hops
 
 
 # ----------------------------------------------------------------------
@@ -332,8 +419,11 @@ class PersistentHopProfile(HopProfile):
 
     ``record`` runs inside the pipeline's ingestion SAVEPOINT, so a
     rolled-back annotation reverts its bucket increments together with
-    the in-memory restore in ``Nebula._abort_insert``.  Unreachable
-    discoveries persist under ``hops = -1`` (:data:`UNREACHABLE`).
+    the in-memory restore in ``Nebula._abort_insert`` (one annotation) or
+    ``Nebula._abort_batch`` (a whole batch).  Both also remove the
+    annotation from the ACG; the interned ids of its tuples outlive the
+    rollback, with empty adjacency.  Unreachable discoveries persist
+    under ``hops = -1`` (:data:`UNREACHABLE`).
     """
 
     def __init__(self, connection: "Connection") -> None:

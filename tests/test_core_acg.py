@@ -1,8 +1,11 @@
 """Unit + property tests for the ACG, stability tracking, and hop profile."""
 
-import pytest
-from hypothesis import given, strategies as st
+from collections import deque
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro import BioDatabaseSpec, Nebula, NebulaConfig, generate_bio_database
 from repro.annotations.engine import AnnotationManager
 from repro.core.acg import (
     UNREACHABLE,
@@ -10,6 +13,8 @@ from repro.core.acg import (
     HopProfile,
     StabilityTracker,
 )
+from repro.datagen.workload import WorkloadSpec, generate_workload
+from repro.perf import AnnotationRequest
 from repro.types import CellRef, TupleRef
 
 from conftest import build_figure1_connection
@@ -153,6 +158,222 @@ def test_k_hop_monotone_in_k(hops_points):
         current = acg.k_hop_neighbors([_ref(1)], k)
         assert previous <= current
         previous = current
+
+
+# ----------------------------------------------------------------------
+# Exactness against a plain reference graph
+# ----------------------------------------------------------------------
+
+
+def _reference_hops(neighbors, present, ref, seeds):
+    """Plain one-sided BFS from ``ref`` to the nearest present seed."""
+    targets = {s for s in seeds if present(s)}
+    if not targets or not present(ref):
+        return UNREACHABLE
+    depth = {ref: 0}
+    queue = deque([ref])
+    while queue:
+        node = queue.popleft()
+        if node in targets:
+            return depth[node]
+        for neighbor in neighbors(node):
+            if neighbor not in depth:
+                depth[neighbor] = depth[node] + 1
+                queue.append(neighbor)
+    return UNREACHABLE
+
+
+def _reference_within(adjacency, seeds, k):
+    """Tuples within ``k`` hops of any present seed, by plain BFS."""
+    depth = {s: 0 for s in seeds if s in adjacency}
+    queue = deque(depth)
+    while queue:
+        node = queue.popleft()
+        if depth[node] < k:
+            for neighbor in adjacency[node]:
+                if neighbor not in depth:
+                    depth[neighbor] = depth[node] + 1
+                    queue.append(neighbor)
+    return depth
+
+
+class _ReferenceGraph:
+    """The ACG recomputed from scratch from the live attachment list."""
+
+    def __init__(self, live):
+        self.annotations = {}
+        for annotation_id, refs in live.items():
+            for ref in refs:
+                self.annotations.setdefault(ref, set()).add(annotation_id)
+        self.adjacency = {ref: set() for ref in self.annotations}
+        for refs in live.values():
+            for a in refs:
+                self.adjacency[a].update(b for b in refs if b != a)
+
+    @property
+    def edge_count(self):
+        return sum(len(n) for n in self.adjacency.values()) // 2
+
+    def weight(self, a, b):
+        first = self.annotations.get(a, set())
+        second = self.annotations.get(b, set())
+        if not first & second:
+            return 0.0
+        return len(first & second) / len(first | second)
+
+    def hops(self, ref, seeds):
+        return _reference_hops(
+            self.adjacency.__getitem__, self.adjacency.__contains__, ref, seeds
+        )
+
+
+#: Tuples 1-12 may be attached; 13 and 14 never are (absent refs/seeds).
+_UNIVERSE = [_ref(i) for i in range(1, 15)]
+
+_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(1, 5), st.integers(1, 12)),
+        st.tuples(st.just("remove"), st.integers(1, 5), st.just(0)),
+    ),
+    max_size=60,
+)
+
+
+def _assert_matches_reference(acg, live):
+    reference = _ReferenceGraph(live)
+    assert acg.node_count == len(reference.adjacency)
+    assert acg.edge_count == reference.edge_count
+    for ref in _UNIVERSE:
+        assert acg.contains(ref) == (ref in reference.adjacency)
+        assert acg.neighbors(ref) == frozenset(reference.adjacency.get(ref, ()))
+        for other in _UNIVERSE:
+            assert acg.weight(ref, other) == reference.weight(ref, other)
+    return reference
+
+
+@settings(max_examples=150, deadline=None)
+@given(_OPERATIONS, st.lists(st.sampled_from(_UNIVERSE), max_size=4))
+# Annotation 1 still joins tuples 1 and 2 after annotation 2 is removed.
+@example([("add", 1, 1), ("add", 1, 2), ("add", 2, 1), ("add", 2, 2),
+          ("add", 2, 3), ("remove", 2, 0)], [_ref(3), _ref(2)])
+# A removed annotation leaves tuples 3 and 4 with no annotation at all.
+@example([("add", 1, 1), ("add", 1, 2), ("add", 2, 3), ("add", 2, 4),
+          ("remove", 2, 0)], [_ref(3), _ref(1)])
+# Two components (1-2-3 and 5-6); seeds on both sides plus an absent one.
+@example([("add", 1, 1), ("add", 1, 2), ("add", 2, 2), ("add", 2, 3),
+          ("add", 3, 5), ("add", 3, 6)], [_ref(3), _ref(13)])
+def test_graph_matches_reference_under_add_and_remove(operations, seeds):
+    """Property: every public read equals a graph rebuilt from scratch,
+    through interleaved attachments and annotation rollbacks."""
+    acg = AnnotationsConnectivityGraph()
+    live = {}
+    reference = _ReferenceGraph(live)
+    for kind, annotation_id, index in operations:
+        before = reference.edge_count
+        if kind == "add":
+            edge_delta = acg.add_attachment(annotation_id, _ref(index))
+            live.setdefault(annotation_id, set()).add(_ref(index))
+        else:
+            edge_delta = -acg.remove_annotation(annotation_id)
+            live.pop(annotation_id, None)
+        reference = _assert_matches_reference(acg, live)
+        assert edge_delta == reference.edge_count - before
+    seed_sets = [seeds, seeds + [_ref(13)], [_ref(14)], []]
+    seed_sets += [[ref] for ref in _UNIVERSE]
+    for seed_set in seed_sets:
+        for ref in _UNIVERSE:
+            assert acg.shortest_hops(ref, seed_set) == reference.hops(ref, seed_set)
+        for k in range(0, 8):
+            depth = _reference_within(reference.adjacency, seed_set, k)
+            assert acg.k_hop_neighbors(seed_set, k) == frozenset(depth)
+            assert acg.k_hop_neighbors(seed_set, k, include_seeds=False) == frozenset(
+                ref for ref, d in depth.items() if d > 0
+            )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 30), st.integers(1, 30)), max_size=45),
+    st.lists(st.integers(1, 30), min_size=1, max_size=5),
+)
+def test_shortest_hops_exact_on_sparse_graphs(pairs, seed_indices):
+    """Property: on sparse pair-annotation graphs (long chains, many
+    components, frontiers of unequal size) the bidirectional search
+    returns exactly the one-sided BFS distance."""
+    acg = AnnotationsConnectivityGraph()
+    live = {}
+    for annotation_id, (a, b) in enumerate(pairs, start=1):
+        for index in (a, b):
+            acg.add_attachment(annotation_id, _ref(index))
+            live.setdefault(annotation_id, set()).add(_ref(index))
+    reference = _ReferenceGraph(live)
+    seeds = [_ref(i) for i in seed_indices]
+    for index in range(1, 32):
+        ref = _ref(index)
+        assert acg.shortest_hops(ref, seeds) == reference.hops(ref, seeds)
+
+
+def test_shortest_hops_on_long_chain_with_fan_out():
+    """A 60-hop chain whose far end fans out: the seed side's frontier
+    stays small while the ref side's grows, so both sides expand."""
+    acg = AnnotationsConnectivityGraph()
+    for i in range(1, 61):
+        acg.add_attachment(i, _ref(i))
+        acg.add_attachment(i, _ref(i + 1))
+    for j in range(100, 140):
+        acg.add_attachment(1000, _ref(61))
+        acg.add_attachment(1000, _ref(j))
+    assert acg.shortest_hops(_ref(1), [_ref(120)]) == 61
+    assert acg.shortest_hops(_ref(120), [_ref(1)]) == 61
+    assert acg.shortest_hops(_ref(30), [_ref(1), _ref(100)]) == 29
+
+
+class TestPipelineHopProfileParity:
+    """Every hop distance the pipeline records equals a reference BFS
+    over the public ``neighbors()``, on both ingestion paths."""
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batch"])
+    def test_profile_equals_reference_histogram(self, batched, monkeypatch):
+        db = generate_bio_database(
+            BioDatabaseSpec(genes=60, proteins=36, publications=240, seed=11)
+        )
+        nebula = Nebula(
+            db.connection, db.meta, NebulaConfig(epsilon=0.6), aliases=db.aliases
+        )
+        acg = nebula.acg
+        search = acg.shortest_hops
+        reference = HopProfile()
+
+        def checked(ref, seeds):
+            seeds = list(seeds)
+            hops = search(ref, seeds)
+            expected = _reference_hops(acg.neighbors, acg.contains, ref, seeds)
+            assert hops == expected, (ref, seeds)
+            reference.record(expected)
+            return hops
+
+        monkeypatch.setattr(acg, "shortest_hops", checked)
+        assert nebula.profile.total == 0
+        workload = generate_workload(db, WorkloadSpec(seed=61))
+        requests = [
+            AnnotationRequest.build(a.text, a.focal(1))
+            for a in workload.annotations[:24]
+        ]
+        for start in range(0, len(requests), 6):
+            chunk = requests[start:start + 6]
+            if batched:
+                nebula.insert_annotations(chunk)
+            else:
+                for request in chunk:
+                    nebula.insert_annotation(
+                        request.text, attach_to=request.focal, author=request.author
+                    )
+            for task in nebula.pending_tasks():
+                nebula.verify_attachment(task.task_id)
+
+        assert reference.total > 0
+        assert nebula.profile.buckets == reference.buckets
+        assert nebula.profile.unreachable == reference.unreachable
 
 
 class TestStabilityTracker:
